@@ -937,6 +937,41 @@ let find_sub ?(start = 0) sub s =
   in
   go start
 
+(* Replace (or append) one top-level block of BENCH_server.json and
+   leave every other block as it was. No JSON library here: top-level
+   keys are the lines that open with exactly two spaces and a quote, so
+   a block runs from its key to the next such key or the closing
+   brace. *)
+let merge_bench_block name block =
+  let path = "BENCH_server.json" in
+  let base =
+    if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all
+    else "{\n  \"bench\": \"overload\"\n}\n"
+  in
+  let body =
+    match String.rindex_opt base '}' with
+    | None -> "{\n  \"bench\": \"overload\""
+    | Some j ->
+      let rec back k =
+        if k > 0 && String.contains "\n \t\r" base.[k - 1] then back (k - 1) else k
+      in
+      String.sub base 0 (back j)
+  in
+  let key = Printf.sprintf ",\n  \"%s\": " name in
+  let body =
+    match find_sub key body with
+    | None -> body ^ key ^ block
+    | Some i ->
+      let rest =
+        match find_sub ~start:(i + String.length key) ",\n  \"" body with
+        | Some j -> String.sub body j (String.length body - j)
+        | None -> ""
+      in
+      String.sub body 0 i ^ key ^ block ^ rest
+  in
+  Out_channel.with_open_bin path (fun oc -> output_string oc (body ^ "\n}\n"));
+  Printf.printf "  merged %s block into BENCH_server.json\n" name
+
 (* A lowercased header value out of a lowercased head block. *)
 let header_value head name =
   let marker = "\r\n" ^ name ^ ": " in
@@ -1358,32 +1393,13 @@ let overload () =
 
 (* ---------------------------------------------------------------- *)
 
-(* SERVING: the two PR-7 serving-path claims.
-
-   Keep-alive arm: on light requests (warm caches, sub-millisecond
-   generation) per-request connection setup is a measurable share of
-   latency, so a persistent connection must cut p50 against
-   fresh-connection-per-request on the same server.
-
-   Shard arm: capacity scaling from cache locality, not cores. Requests
-   carry their model inline (composite bodies), the working set of
-   distinct models exceeds one backend's artifact cache, and requests
-   cycle through it — LRU's worst case, every request an import. Four
-   shards partition the same working set so each backend's slice fits
-   its cache and nearly every request is a hit. The 4-shard/1-shard
-   capacity ratio is gated at 3x — on a single-core runner only cache
-   locality, never parallelism, can deliver that. *)
+(* SERVING: the PR-7 keep-alive claim. On light requests (warm caches,
+   sub-millisecond generation) per-request connection setup is a
+   measurable share of latency, so a persistent connection must cut p50
+   against fresh-connection-per-request on the same server. *)
 
 let serving_tpl =
   "<document><for nodes=\"start type(User); sort-by label\"><p><label/></p></for></document>"
-
-(* The shard arm's template targets the one SystemBeingDesigned node:
-   generation is a cheap scan, so per-request cost is dominated by the
-   model import — exactly the work the shard-local caches absorb. A
-   generation-heavy template would flatten the hit/miss difference the
-   capacity gate depends on. *)
-let shard_tpl =
-  "<document><for nodes=\"start type(SystemBeingDesigned)\"><p><label/></p></for></document>"
 
 let serving_percentile sorted_arr p =
   if Array.length sorted_arr = 0 then 0.
@@ -1392,8 +1408,7 @@ let serving_percentile sorted_arr p =
                   (int_of_float (p *. float_of_int (Array.length sorted_arr))))
 
 let serving () =
-  section "SERVING - keep-alive connection reuse and consistent-hash sharding";
-  (* --- keep-alive arm ------------------------------------------------ *)
+  section "SERVING - keep-alive connection reuse";
   let svc = Service.create () in
   let srv =
     Server.create
@@ -1454,501 +1469,17 @@ let serving () =
     "  keep-alive (light requests, n=%d): fresh-conn p50 %.3f ms (%.0f rps)  persistent \
      p50 %.3f ms (%.0f rps)\n"
     n fresh_p50 fresh_rps ka_p50 ka_rps;
-  (* --- shard arm ----------------------------------------------------- *)
-  let wset = if quick then 24 else 48 in
-  (* Per-shard artifact cache: must hold a 4-way slice of the working
-     set (~wset/4 models, plus the template's compiled artifacts, plus
-     consistent-hash imbalance) but not the whole set — the single shard
-     has to cycle and miss while each of the four fits its slice. *)
-  let ccap = if quick then 16 else 32 in
-  (* Edge-heavy models: relations dominate the XML, so the import a
-     cache miss pays is large while the node scan generation performs on
-     every request stays small. That asymmetry — import ≫ serve — is
-     what makes shard-local cache locality measurable as capacity. *)
-  let shard_shape =
-    {
-      Awb.Synth.users = (if quick then 40 else 60);
-      systems = 8;
-      programs = 12;
-      documents = 6;
-      likes_per_user = (if quick then 60 else 80);
-      uses_per_user = 20;
-    }
-  in
-  let bodies =
-    Array.init wset (fun i ->
-        let m = Awb.Synth.generate ~seed:(1000 + i) shard_shape in
-        Server.Composite.build ~template:shard_tpl ~model:(Awb.Xml_io.export_string m))
-  in
-  let run_cluster nshards =
-    let cluster =
-      Server.Shard.start
-        ~config:
-          {
-            Server.Shard.default_cluster_config with
-            Server.Shard.shards = nshards;
-            cache_capacity = ccap;
-            result_cache_cap = 0;
-          }
-        ()
-    in
-    let svc = Service.create () in
-    let srv =
-      Server.create
-        ~config:
-          {
-            Server.default_config with
-            Server.max_inflight = 1;
-            queue_cap = 64;
-            keepalive = true;
-          }
-        ~cluster svc
-    in
-    Server.start srv;
-    let port = Server.port srv in
-    Fun.protect
-      ~finally:(fun () -> if not (Server.stopped srv) then Server.drain srv)
-      (fun () ->
-        let nclients = 4 in
-        let duration_s = if quick then 2.5 else 4. in
-        let counts = Array.make nclients 0 in
-        (* Closed-loop: each client cycles its slice of the working set
-           over one persistent connection. One warm pass, then a timed
-           window. The clock is checked after every request, not every
-           pass — at tens of milliseconds per miss a pass-granular check
-           would overshoot the window by a whole slice. *)
-        let client j timed =
-          let conn = ref (ka_connect port) in
-          let fire i =
-            let status, _, _, closed = ka_exchange !conn ~headers:[] bodies.(i) in
-            if status <> 200 then failwith (Printf.sprintf "serving/shard: status %d" status);
-            if closed then begin
-              ka_close !conn;
-              conn := ka_connect port
-            end
-          in
-          let slice = ref [] in
-          for i = wset - 1 downto 0 do
-            if i mod nclients = j then slice := i :: !slice
-          done;
-          Fun.protect
-            ~finally:(fun () -> ka_close !conn)
-            (fun () ->
-              List.iter fire !slice;
-              match timed with
-              | None -> ()
-              | Some t_end ->
-                let stop = ref false in
-                while not !stop do
-                  List.iter
-                    (fun i ->
-                      if not !stop then begin
-                        fire i;
-                        counts.(j) <- counts.(j) + 1;
-                        if Clock.now () >= t_end then stop := true
-                      end)
-                    !slice
-                done)
-        in
-        let warm = List.init nclients (fun j -> Thread.create (fun () -> client j None) ()) in
-        List.iter Thread.join warm;
-        let t0 = Clock.now () in
-        let t_end = t0 +. duration_s in
-        let threads =
-          List.init nclients (fun j -> Thread.create (fun () -> client j (Some t_end)) ())
-        in
-        List.iter Thread.join threads;
-        let elapsed = Clock.now () -. t0 in
-        let total = Array.fold_left ( + ) 0 counts in
-        (* Aggregate the shards' model-cache counters out of the
-           exposition — the mechanism under test is hit-rate locality,
-           so show it. *)
-        let sum_counter name =
-          String.split_on_char '\n' (Server.metrics_body srv)
-          |> List.fold_left
-               (fun acc line ->
-                 if String.length line > String.length name
-                    && String.sub line 0 (String.length name) = name
-                 then
-                   match String.rindex_opt line ' ' with
-                   | None -> acc
-                   | Some i ->
-                     acc
-                     + (int_of_float
-                          (Option.value ~default:0.
-                             (float_of_string_opt
-                                (String.sub line (i + 1) (String.length line - i - 1)))))
-                 else acc)
-               0
-        in
-        let hits = sum_counter "lopsided_service_model_cache_hits_total" in
-        let misses = sum_counter "lopsided_service_model_cache_misses_total" in
-        Server.drain srv;
-        (float_of_int total /. elapsed, hits, misses))
-  in
-  let rps1, h1, m1 = run_cluster 1 in
-  Printf.printf
-    "  1 shard:  %7.1f rps (working set %d models, per-shard cache %d; model cache %d \
-     hits / %d misses)\n"
-    rps1 wset ccap h1 m1;
-  let rps4, h4, m4 = run_cluster 4 in
-  let ratio = rps4 /. Float.max 1e-9 rps1 in
-  Printf.printf "  4 shards: %7.1f rps — %.2fx the single shard (model cache %d hits / %d misses)\n"
-    rps4 ratio h4 m4;
-  if json then begin
-    (* Merge a "shard" block into BENCH_server.json without disturbing
-       what the overload experiment wrote (no JSON library here: the
-       file is cut before a previous shard block / the closing brace and
-       re-terminated). *)
-    let path = "BENCH_server.json" in
-    let base =
-      if Sys.file_exists path then begin
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      end
-      else "{\n  \"bench\": \"overload\"\n}\n"
-    in
-    let head =
-      match find_sub ",\n  \"shard\":" base with
-      | Some i -> String.sub base 0 i
-      | None -> (
-        match String.rindex_opt base '}' with
-        | None -> "{\n  \"bench\": \"overload\""
-        | Some j ->
-          let rec back k =
-            if k > 0 && (match base.[k - 1] with '\n' | ' ' | '\t' | '\r' -> true | _ -> false)
-            then back (k - 1)
-            else k
-          in
-          String.sub base 0 (back j))
-    in
-    let block =
-      Printf.sprintf
-        "{\n\
-        \    \"keepalive_light\": {\"n\": %d, \"fresh_p50_ms\": %.3f, \"fresh_rps\": %.1f, \
-         \"persistent_p50_ms\": %.3f, \"persistent_rps\": %.1f},\n\
-        \    \"working_set_models\": %d,\n\
-        \    \"model_xml_bytes\": %d,\n\
-        \    \"per_shard_cache\": %d,\n\
-        \    \"shards1_rps\": %.1f,\n\
-        \    \"shards4_rps\": %.1f,\n\
-        \    \"capacity_ratio_4s_1s\": %.3f\n\
-        \  }"
-        n fresh_p50 fresh_rps ka_p50 ka_rps wset (String.length bodies.(0)) ccap rps1
-        rps4 ratio
-    in
-    let oc = open_out path in
-    output_string oc (head ^ ",\n  \"shard\": " ^ block ^ "\n}\n");
-    close_out oc;
-    Printf.printf "  merged shard block into BENCH_server.json\n"
-  end;
-  (* Gates. Keep-alive must reduce p50 on light requests; sharding must
-     at least triple single-shard capacity. *)
+  if json then
+    merge_bench_block "serving"
+      (Printf.sprintf
+         "{\"n\": %d, \"fresh_p50_ms\": %.3f, \"fresh_rps\": %.1f, \"persistent_p50_ms\": \
+          %.3f, \"persistent_rps\": %.1f}"
+         n fresh_p50 fresh_rps ka_p50 ka_rps);
+  (* The gate: keep-alive must reduce p50 on light requests. *)
   if ka_p50 > fresh_p50 then begin
     Printf.eprintf
       "bench: persistent-connection p50 %.3f ms did not beat fresh-connection p50 %.3f ms\n"
       ka_p50 fresh_p50;
-    exit 1
-  end;
-  let sfloor = 3.0 in
-  if ratio < sfloor then begin
-    Printf.eprintf
-      "bench: 4-shard capacity is %.2fx the single shard (floor %.2fx) — shard-local \
-       caches are not partitioning the working set\n"
-      ratio sfloor;
-    exit 1
-  end
-
-(* ---------------------------------------------------------------- *)
-
-(* CHAOS: the resilience claim behind the fault-injection plane. A
-   seeded synthetic workload (diverse model sizes, mixed template and
-   search traffic — bench/workload.ml) is driven fault-free through a
-   4-shard cluster with the request recorder attached; the capture is
-   saved, reloaded, and replayed at 2x against a fresh cluster under a
-   seeded chaos schedule (delays, drops, truncations, CRC corruption,
-   duplicates, stalls) plus one SIGKILL'd backend mid-run, with
-   breakers and hedging active. Gates: the fault schedule is
-   byte-identical run-to-run, both phases pass the conservation
-   invariants, the chaos phase keeps >= 70% of the fault-free useful
-   rate, and every breaker returns to Closed once the supervisor
-   restores the killed shard. *)
-
-type chaos_ledger = {
-  ch_sent : int;
-  ch_ok : int;
-  ch_conn_errors : int;
-  ch_responses : int;
-  ch_statuses : (int * int) list;
-}
-
-(* Open-loop driver over Recorder entries: each fires at its recorded
-   offset (scaled by [speed]) on its own thread, so server pushback
-   shows up as refusals, never as a slowed-down workload. [on_mid]
-   runs once, as the midpoint entry is scheduled — the SIGKILL hook. *)
-let chaos_drive ~port ~speed ?(on_mid = fun () -> ()) entries =
-  let mu = Mutex.create () in
-  let responses = ref 0 and conn_errors = ref 0 in
-  let statuses = Hashtbl.create 8 in
-  let note st =
-    Mutex.lock mu;
-    if st = 0 then incr conn_errors
-    else begin
-      incr responses;
-      Hashtbl.replace statuses st (1 + Option.value ~default:0 (Hashtbl.find_opt statuses st))
-    end;
-    Mutex.unlock mu
-  in
-  let n = List.length entries in
-  let t0 = Clock.now () in
-  let threads =
-    List.mapi
-      (fun i (e : Server.Recorder.entry) ->
-        if i = n / 2 then on_mid ();
-        let due = t0 +. (e.e_ts /. speed) in
-        let d = due -. Clock.now () in
-        if d > 0. then Thread.delay d;
-        Thread.create
-          (fun () ->
-            let headers =
-              ("x-tenant", e.e_tenant)
-              ::
-              (if e.e_deadline_ms > 0 then
-                 [ ("x-deadline-ms", string_of_int e.e_deadline_ms) ]
-               else [])
-            in
-            let status, _, _ =
-              try overload_request ~port ~headers e.e_body
-              with Unix.Unix_error _ | Sys_error _ -> (0, None, 0.)
-            in
-            note status)
-          ())
-      entries
-  in
-  List.iter Thread.join threads;
-  {
-    ch_sent = n;
-    ch_ok = Option.value ~default:0 (Hashtbl.find_opt statuses 200);
-    ch_conn_errors = !conn_errors;
-    ch_responses = !responses;
-    ch_statuses = Hashtbl.fold (fun st c acc -> (st, c) :: acc) statuses [];
-  }
-
-(* One phase: a fresh 4-shard cluster + front, the workload driven
-   through it, invariants checked against the final exposition, and —
-   when the phase injected faults — a wait for every breaker to settle
-   back to Closed. *)
-let chaos_phase ~chaos ~hedge ~recorder ~kill ~speed ~warm entries =
-  let cluster =
-    Server.Shard.start
-      ~config:
-        {
-          Server.Shard.default_cluster_config with
-          Server.Shard.shards = 4;
-          cache_capacity = 32;
-          call_timeout_s = 3.;
-          chaos;
-          hedge;
-        }
-      ()
-  in
-  let svc = Service.create () in
-  let srv =
-    Server.create
-      ~config:
-        { Server.default_config with Server.max_inflight = 4; queue_cap = 128; recorder }
-      ~cluster svc
-  in
-  Server.start srv;
-  let port = Server.port srv in
-  Fun.protect
-    ~finally:(fun () -> if not (Server.stopped srv) then Server.drain srv)
-    (fun () ->
-      (* Cold imports are not the phenomenon under test: one request
-         per model warms its home shard (routing is by model digest, so
-         one suffices) before the clock starts. Under chaos a warm
-         request may itself be faulted — failover usually lands it, and
-         a miss just means one cold import inside the run. *)
-      List.iter
-        (fun body ->
-          ignore (try overload_request ~port ~headers:[] body with _ -> (0, None, 0.)))
-        warm;
-      let on_mid =
-        if kill then (fun () ->
-          try Unix.kill (Server.Shard.pids cluster).(0) Sys.sigkill
-          with Unix.Unix_error _ -> ())
-        else fun () -> ()
-      in
-      let led = chaos_drive ~port ~speed ~on_mid entries in
-      (* Give server-side connection teardown a beat so pooled buffers
-         are back before the books are audited. *)
-      Thread.delay 0.3;
-      let metrics_text = Server.metrics_body srv in
-      let ledger =
-        {
-          Server.Recorder.sent = led.ch_sent;
-          responses = led.ch_responses;
-          conn_errors = led.ch_conn_errors;
-          status_counts = led.ch_statuses;
-        }
-      in
-      let violations = Server.Recorder.check_invariants ~ledger ~metrics_text in
-      (* After the storm every breaker must find its way home: the
-         supervisor respawns the killed backend, the work probe passes,
-         record_success closes the circuit. *)
-      let settle_deadline = Clock.now () +. 15. in
-      let rec settle () =
-        if Array.for_all (fun c -> c = 0) (Server.Shard.breaker_states cluster) then true
-        else if Clock.now () > settle_deadline then false
-        else begin
-          Thread.delay 0.2;
-          settle ()
-        end
-      in
-      let breakers_closed = settle () in
-      let stats =
-        ( Server.Shard.failovers cluster,
-          Server.Shard.restarts cluster,
-          Server.Shard.hedges cluster,
-          Server.Shard.hedge_wins cluster )
-      in
-      Server.drain srv;
-      (led, violations, breakers_closed, stats))
-
-let chaos_exp () =
-  section "CHAOS - deterministic fault injection: record, replay, conserve";
-  let seed = 42 in
-  (* Determinism first: the reproducibility contract is that one seed
-     yields one byte-identical fault schedule, run after run. *)
-  let cfg = Server.Chaos.of_seed seed in
-  let plan = Server.Chaos.schedule cfg ~shard:2 500 in
-  if plan <> Server.Chaos.schedule cfg ~shard:2 500 then begin
-    Printf.eprintf "bench: chaos schedule is not deterministic for a fixed seed\n";
-    exit 1
-  end;
-  let faults =
-    List.filter (fun a -> a <> Server.Chaos.Pass) plan |> List.length
-  in
-  Printf.printf "  schedule(seed=%d, shard=2, n=500): %d faulted frames, reproducible\n"
-    seed faults;
-  let n = if quick then 80 else 240 in
-  (* Full mode mixes models up to 10^4 nodes; the offered rate is set so
-     the fault-free baseline is comfortably inside capacity (the point
-     of this experiment is fault tolerance, not overload — OVERLOAD and
-     BROWNOUT own that axis), leaving the 2x chaos replay a real but
-     survivable load. *)
-  let rate = if quick then 40. else 10. in
-  let entries = Workload.entries ~seed:11 ~quick ~n ~rate () in
-  let warm =
-    Workload.models ~seed:11 (Workload.default_sizes ~quick)
-    |> Array.to_list
-    |> List.map (fun m -> Server.Composite.build ~template:Workload.scan_tpl ~model:m)
-  in
-  (* Phase A: fault-free, recorder attached. *)
-  let recorder = Server.Recorder.create () in
-  let base, base_violations, _, _ =
-    chaos_phase ~chaos:None ~hedge:false ~recorder:(Some recorder) ~kill:false ~speed:1.
-      ~warm entries
-  in
-  let capture = "CHAOS_workload.rec" in
-  let recorded = Server.Recorder.save recorder capture in
-  Printf.printf "  fault-free: %d/%d ok, %d recorded to %s\n" base.ch_ok base.ch_sent
-    recorded capture;
-  let replayed = Server.Recorder.load capture in
-  if List.length replayed <> recorded then begin
-    Printf.eprintf "bench: capture round-trip lost entries (%d saved, %d loaded)\n"
-      recorded (List.length replayed);
-    exit 1
-  end;
-  (* Phase B: the same workload out of the capture file, at 2x, under
-     the seeded fault schedule, breakers and hedging on, one backend
-     SIGKILL'd mid-run. *)
-  let chaos, chaos_violations, breakers_closed, (failovers, restarts, hedges, hedge_wins)
-      =
-    chaos_phase ~chaos:(Some cfg) ~hedge:true ~recorder:None ~kill:true ~speed:2. ~warm
-      replayed
-  in
-  let rate_of l = float_of_int l.ch_ok /. float_of_int (max 1 l.ch_sent) in
-  let useful_ratio = rate_of chaos /. Float.max 1e-9 (rate_of base) in
-  Printf.printf
-    "  chaos (seed %d, 2x, 1 SIGKILL): %d/%d ok (%.2fx fault-free), %d conn errors, %d \
-     failovers, %d restarts, %d hedges (%d won), breakers %s\n"
-    seed chaos.ch_ok chaos.ch_sent useful_ratio chaos.ch_conn_errors failovers restarts
-    hedges hedge_wins
-    (if breakers_closed then "closed" else "STUCK OPEN");
-  if json then begin
-    let path = "BENCH_server.json" in
-    let base_json =
-      if Sys.file_exists path then begin
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      end
-      else "{\n  \"bench\": \"overload\"\n}\n"
-    in
-    let head =
-      match find_sub ",\n  \"chaos\":" base_json with
-      | Some i -> String.sub base_json 0 i
-      | None -> (
-        match String.rindex_opt base_json '}' with
-        | None -> "{\n  \"bench\": \"overload\""
-        | Some j ->
-          let rec back k =
-            if k > 0 && (match base_json.[k - 1] with '\n' | ' ' | '\t' | '\r' -> true | _ -> false)
-            then back (k - 1)
-            else k
-          in
-          String.sub base_json 0 (back j))
-    in
-    let block =
-      Printf.sprintf
-        "{\n\
-        \    \"seed\": %d,\n\
-        \    \"requests\": %d,\n\
-        \    \"recorded\": %d,\n\
-        \    \"ok_base\": %d,\n\
-        \    \"ok_chaos\": %d,\n\
-        \    \"useful_ratio\": %.3f,\n\
-        \    \"conn_errors_chaos\": %d,\n\
-        \    \"failovers\": %d,\n\
-        \    \"restarts\": %d,\n\
-        \    \"hedges\": %d,\n\
-        \    \"hedge_wins\": %d,\n\
-        \    \"invariant_violations\": %d,\n\
-        \    \"breakers_closed\": %b\n\
-        \  }"
-        seed n recorded base.ch_ok chaos.ch_ok useful_ratio chaos.ch_conn_errors
-        failovers restarts hedges hedge_wins
-        (List.length base_violations + List.length chaos_violations)
-        breakers_closed
-    in
-    let oc = open_out path in
-    output_string oc (head ^ ",\n  \"chaos\": " ^ block ^ "\n}\n");
-    close_out oc;
-    Printf.printf "  merged chaos block into BENCH_server.json\n"
-  end;
-  (* Gates. Conservation must hold in both phases; the chaos run must
-     keep >= 70% of the fault-free useful rate; breakers must close. *)
-  List.iter
-    (fun v -> Printf.eprintf "bench: fault-free invariant violation: %s\n" v)
-    base_violations;
-  List.iter
-    (fun v -> Printf.eprintf "bench: chaos invariant violation: %s\n" v)
-    chaos_violations;
-  if base_violations <> [] || chaos_violations <> [] then exit 1;
-  let floor = 0.7 in
-  if useful_ratio < floor then begin
-    Printf.eprintf
-      "bench: chaos useful-response rate is %.2fx the fault-free rate (floor %.2f) — \
-       failover/breakers/hedging failed to absorb the fault schedule\n"
-      useful_ratio floor;
-    exit 1
-  end;
-  if not breakers_closed then begin
-    Printf.eprintf "bench: a circuit breaker never returned to Closed after recovery\n";
     exit 1
   end
 
@@ -1959,7 +1490,7 @@ let chaos_exp () =
 
    1. The I/O fault plane is deterministic — one seed, one
       byte-identical fault schedule (the same contract Chaos makes for
-      the shard transport).
+      the replica transport).
    2. The kill-point crash oracle, exact mode: seeded trials re-exec
       this binary as a child ingester under crash/short-write/fsync-fail
       faults, kill it mid-operation, recover, and require the recovered
@@ -2350,66 +1881,36 @@ let store_exp () =
     (fun v -> Printf.eprintf "bench: store replay invariant violation: %s\n" v)
     replay_violations;
   List.iter (fun (d, _) -> Printf.eprintf "bench: replay lost acked write: %s\n" d) lost_b;
-  if json then begin
-    let path = "BENCH_server.json" in
-    let base_json =
-      if Sys.file_exists path then begin
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      end
-      else "{\n  \"bench\": \"overload\"\n}\n"
-    in
-    let head =
-      match find_sub ",\n  \"store\":" base_json with
-      | Some i -> String.sub base_json 0 i
-      | None -> (
-        match String.rindex_opt base_json '}' with
-        | None -> "{\n  \"bench\": \"overload\""
-        | Some j ->
-          let rec back k =
-            if k > 0 && (match base_json.[k - 1] with '\n' | ' ' | '\t' | '\r' -> true | _ -> false)
-            then back (k - 1)
-            else k
-          in
-          String.sub base_json 0 (back j))
-    in
-    let block =
-      Printf.sprintf
-        "{\n\
-        \    \"oracle_trials\": %d,\n\
-        \    \"oracle_killed\": %d,\n\
-        \    \"oracle_lost\": %d,\n\
-        \    \"oracle_resurrected\": %d,\n\
-        \    \"oracle_escapes\": %d,\n\
-        \    \"oracle_truncated_tails\": %d,\n\
-        \    \"liar_trials\": %d,\n\
-        \    \"liar_lost\": %d,\n\
-        \    \"liar_escapes\": %d,\n\
-        \    \"quarantined_segments\": %d,\n\
-        \    \"http_acked_docs\": %d,\n\
-        \    \"http_store_violations\": %d,\n\
-        \    \"replay_sent\": %d,\n\
-        \    \"replay_ok\": %d,\n\
-        \    \"replay_acked_puts\": %d,\n\
-        \    \"replay_lost\": %d,\n\
-        \    \"replay_violations\": %d,\n\
-        \    \"replay_scrub_clean\": %b\n\
-        \  }"
-        ex.St.Oracle.s_trials ex.St.Oracle.s_killed ex.St.Oracle.s_lost
-        ex.St.Oracle.s_resurrected ex.St.Oracle.s_escapes ex.St.Oracle.s_truncated_tails
-        li.St.Oracle.s_trials li.St.Oracle.s_lost li.St.Oracle.s_escapes
-        (List.length quarantined) (Hashtbl.length acked_a)
-        (List.length store_violations) ledger_b.Server.Recorder.sent ok_b
-        (List.length acked_b) (List.length lost_b) (List.length replay_violations)
-        (St.Scrub.clean scrub_b)
-    in
-    let oc = open_out path in
-    output_string oc (head ^ ",\n  \"store\": " ^ block ^ "\n}\n");
-    close_out oc;
-    Printf.printf "  merged store block into BENCH_server.json\n"
-  end;
+  if json then
+    merge_bench_block "store"
+      (Printf.sprintf
+         "{\n\
+         \    \"oracle_trials\": %d,\n\
+         \    \"oracle_killed\": %d,\n\
+         \    \"oracle_lost\": %d,\n\
+         \    \"oracle_resurrected\": %d,\n\
+         \    \"oracle_escapes\": %d,\n\
+         \    \"oracle_truncated_tails\": %d,\n\
+         \    \"liar_trials\": %d,\n\
+         \    \"liar_lost\": %d,\n\
+         \    \"liar_escapes\": %d,\n\
+         \    \"quarantined_segments\": %d,\n\
+         \    \"http_acked_docs\": %d,\n\
+         \    \"http_store_violations\": %d,\n\
+         \    \"replay_sent\": %d,\n\
+         \    \"replay_ok\": %d,\n\
+         \    \"replay_acked_puts\": %d,\n\
+         \    \"replay_lost\": %d,\n\
+         \    \"replay_violations\": %d,\n\
+         \    \"replay_scrub_clean\": %b\n\
+         \  }"
+         ex.St.Oracle.s_trials ex.St.Oracle.s_killed ex.St.Oracle.s_lost
+         ex.St.Oracle.s_resurrected ex.St.Oracle.s_escapes ex.St.Oracle.s_truncated_tails
+         li.St.Oracle.s_trials li.St.Oracle.s_lost li.St.Oracle.s_escapes
+         (List.length quarantined) (Hashtbl.length acked_a)
+         (List.length store_violations) ledger_b.Server.Recorder.sent ok_b
+         (List.length acked_b) (List.length lost_b) (List.length replay_violations)
+         (St.Scrub.clean scrub_b));
   store_rm_rf tmp;
   (* Gates. *)
   if not exact_ok then exit 1;
@@ -2420,7 +1921,8 @@ let store_exp () =
 
 (* ---------------------------------------------------------------- *)
 
-(* REPL: the replicated-store claims. Seeded trials re-exec this binary
+(* REPL: the replicated-store claims. The Chaos schedule for a fixed
+   seed must be reproducible; then seeded trials re-exec this binary
    as 3 replica store backends, each running a live Io_fault disk plane,
    with the Chaos network plane on the data frames — one seed drives
    both — then kill and partition nodes (preferentially the then-
@@ -2440,6 +1942,17 @@ let repl_exp () =
   let env_int name default =
     match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
   in
+  (* Determinism first: one seed must yield one byte-identical network
+     fault schedule, run after run — the contract every trial below
+     leans on when it replays a failing seed. *)
+  let cfg = Chaos.of_seed 42 in
+  let plan = Chaos.schedule cfg ~node:2 500 in
+  if plan <> Chaos.schedule cfg ~node:2 500 then begin
+    Printf.eprintf "bench: chaos schedule is not deterministic for a fixed seed\n";
+    exit 1
+  end;
+  Printf.printf "  chaos schedule(seed=42, node=2, n=500): %d faulted frames, reproducible\n"
+    (List.length (List.filter (fun a -> a <> Chaos.Pass) plan));
   let trials = env_int "REPL_TRIALS" (if quick then 30 else 200) in
   let seed0 = env_int "REPL_SEED0" 6100 in
   let rates =
@@ -2472,60 +1985,30 @@ let repl_exp () =
       "bench: only %d/%d repl trials disrupted the primary — the failover arm never \
        fired\n"
       s.St.Oracle.rs_primary_disrupted trials;
-  if json then begin
-    let path = "BENCH_server.json" in
-    let base_json =
-      if Sys.file_exists path then begin
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      end
-      else "{\n  \"bench\": \"overload\"\n}\n"
-    in
-    let head =
-      match find_sub ",\n  \"repl\":" base_json with
-      | Some i -> String.sub base_json 0 i
-      | None -> (
-        match String.rindex_opt base_json '}' with
-        | None -> "{\n  \"bench\": \"overload\""
-        | Some j ->
-          let rec back k =
-            if k > 0 && (match base_json.[k - 1] with '\n' | ' ' | '\t' | '\r' -> true | _ -> false)
-            then back (k - 1)
-            else k
-          in
-          String.sub base_json 0 (back j))
-    in
-    let block =
-      Printf.sprintf
-        "{\n\
-        \    \"trials\": %d,\n\
-        \    \"ops\": %d,\n\
-        \    \"kills\": %d,\n\
-        \    \"partitions\": %d,\n\
-        \    \"primary_disrupted_trials\": %d,\n\
-        \    \"promotions\": %d,\n\
-        \    \"truncated_tails\": %d,\n\
-        \    \"repairs\": %d,\n\
-        \    \"acked\": %d,\n\
-        \    \"refused_clean\": %d,\n\
-        \    \"ambiguous\": %d,\n\
-        \    \"lost\": %d,\n\
-        \    \"resurrected\": %d,\n\
-        \    \"diverged\": %d\n\
-        \  }"
-        s.St.Oracle.rs_trials s.St.Oracle.rs_ops s.St.Oracle.rs_kills
-        s.St.Oracle.rs_partitions s.St.Oracle.rs_primary_disrupted
-        s.St.Oracle.rs_promotions s.St.Oracle.rs_truncated_tails s.St.Oracle.rs_repairs
-        s.St.Oracle.rs_acked s.St.Oracle.rs_refused s.St.Oracle.rs_ambiguous
-        s.St.Oracle.rs_lost s.St.Oracle.rs_resurrected s.St.Oracle.rs_diverged
-    in
-    let oc = open_out path in
-    output_string oc (head ^ ",\n  \"repl\": " ^ block ^ "\n}\n");
-    close_out oc;
-    Printf.printf "  merged repl block into BENCH_server.json\n"
-  end;
+  if json then
+    merge_bench_block "repl"
+      (Printf.sprintf
+         "{\n\
+         \    \"trials\": %d,\n\
+         \    \"ops\": %d,\n\
+         \    \"kills\": %d,\n\
+         \    \"partitions\": %d,\n\
+         \    \"primary_disrupted_trials\": %d,\n\
+         \    \"promotions\": %d,\n\
+         \    \"truncated_tails\": %d,\n\
+         \    \"repairs\": %d,\n\
+         \    \"acked\": %d,\n\
+         \    \"refused_clean\": %d,\n\
+         \    \"ambiguous\": %d,\n\
+         \    \"lost\": %d,\n\
+         \    \"resurrected\": %d,\n\
+         \    \"diverged\": %d\n\
+         \  }"
+         s.St.Oracle.rs_trials s.St.Oracle.rs_ops s.St.Oracle.rs_kills
+         s.St.Oracle.rs_partitions s.St.Oracle.rs_primary_disrupted
+         s.St.Oracle.rs_promotions s.St.Oracle.rs_truncated_tails s.St.Oracle.rs_repairs
+         s.St.Oracle.rs_acked s.St.Oracle.rs_refused s.St.Oracle.rs_ambiguous
+         s.St.Oracle.rs_lost s.St.Oracle.rs_resurrected s.St.Oracle.rs_diverged);
   store_rm_rf tmp;
   if not invariants_ok then exit 1;
   if not disruption_ok then exit 1
@@ -2547,7 +2030,6 @@ let experiments =
     ("gov", gov);
     ("overload", overload);
     ("serving", serving);
-    ("chaos", chaos_exp);
     ("store", store_exp);
     ("repl", repl_exp);
     ("a1", a1);
@@ -2557,12 +2039,9 @@ let experiments =
   ]
 
 let () =
-  (* The serving experiment spawns shard backends by re-exec'ing this
-     binary; when this IS such a backend, serve frames and exit. *)
-  Server.Shard.maybe_run_backend ();
-  (* The store experiment likewise re-execs this binary as a crash-
-     oracle child ingester, and the replication experiment as replica
-     store backends. *)
+  (* The store experiment re-execs this binary as a crash-oracle child
+     ingester, and the replication experiment as replica store
+     backends; when this IS such a child, do that job and exit. *)
   Server.Store.Oracle.maybe_run_child ();
   Server.Store.Replica.maybe_run_backend ();
   Printf.printf "Lopsided Little Languages - benchmark harness%s\n"

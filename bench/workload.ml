@@ -1,4 +1,4 @@
-(* Seeded workload generator for the chaos/replay harness.
+(* Seeded workload generator for the store bench's record/replay arm.
 
    Produces Recorder entries — the same shape [awbserve serve --record]
    captures — without needing a live capture first: diverse AWB models
@@ -7,9 +7,8 @@
    two runs offer byte-identical workloads.
 
    The generated bodies are composite (template + inline model): every
-   request carries its model, so backend model caches, consistent-hash
-   locality, and body-size handling all get exercised, not just the
-   evaluator. *)
+   request carries its model, so the service's model cache and
+   body-size handling get exercised, not just the evaluator. *)
 
 (* A deterministic LCG, independent of Random's global state — the
    bench must not perturb (or be perturbed by) other experiments. *)

@@ -150,16 +150,13 @@ let run templates_dir sample model_file engine domains repeat deadline_ms cache_
 let serve host port max_inflight queue_cap tenant_cap rate burst deadline_ms
     drain_deadline brownout result_cache_cap sample model_file engine cache_capacity
     fuel max_depth max_nodes retries quarantine_after fault_seed crash_rate
-    deadline_rate transient_rate keepalive idle_timeout max_conn_requests shards
-    record chaos_seed hedge breaker_failures breaker_cooldown store_dir replicas
-    write_quorum scrub_interval =
+    deadline_rate transient_rate keepalive idle_timeout max_conn_requests record
+    store_dir replicas write_quorum scrub_interval =
   let engine =
     match Docgen.engine_of_string engine with Ok e -> e | Error m -> fail m
   in
   let model = match load_model sample model_file with Ok m -> m | Error m -> fail m in
   let fault = fault_config fault_seed crash_rate deadline_rate transient_rate in
-  if chaos_seed <> None && shards <= 0 then
-    fail "--chaos injects faults on the shard transport; it needs --shards >= 1";
   (* The result cache exists for brownout's stale-while-revalidate: on
      by default exactly when --brownout is, overridable either way. *)
   let result_cache_cap =
@@ -182,39 +179,6 @@ let serve host port max_inflight queue_cap tenant_cap rate burst deadline_ms
           fault;
         }
       ()
-  in
-  (* Sharded mode: the backends own the generation caches, so they get
-     the configured cache sizes and the fallback model spec; the front's
-     local service still answers stale-cache lookups. *)
-  let cluster =
-    if shards <= 0 then None
-    else begin
-      let model_spec =
-        match (sample, model_file) with
-        | Some s, None -> s
-        | None, Some path -> "file:" ^ path
-        | _ -> "banking"
-      in
-      Some
-        (Server.Shard.start
-           ~config:
-             {
-               Server.Shard.default_cluster_config with
-               Server.Shard.shards;
-               cache_capacity;
-               result_cache_cap;
-               model_spec;
-               chaos = Option.map Server.Chaos.of_seed chaos_seed;
-               breaker =
-                 {
-                   Server.Breaker.default_config with
-                   Server.Breaker.failure_threshold = breaker_failures;
-                   cooldown_s = breaker_cooldown;
-                 };
-               hedge;
-             }
-           ())
-    end
   in
   let recorder = Option.map (fun _ -> Server.Recorder.create ()) record in
   (* Incremental capture durability: the ring alone only survives a
@@ -295,23 +259,16 @@ let serve host port max_inflight queue_cap tenant_cap rate burst deadline_ms
           repl;
           scrub_interval_s = scrub_interval;
         }
-      ?cluster svc
+      svc
   in
   Server.install_sigterm server;
   Server.install_sighup server;
   Server.start server;
-  Printf.printf "awbserve: listening on %s:%d (%d workers, queue %d%s%s%s%s%s%s%s%s)\n%!"
+  Printf.printf "awbserve: listening on %s:%d (%d workers, queue %d%s%s%s%s%s)\n%!"
     host (Server.port server) max_inflight queue_cap
     (if rate > 0. then Printf.sprintf ", %.1f req/s per client" rate else "")
     (if brownout then ", brownout on" else "")
     (if keepalive then ", keep-alive on" else "")
-    (match cluster with
-    | None -> ""
-    | Some c -> Printf.sprintf ", %d shards" (Server.Shard.shard_count c))
-    (match chaos_seed with
-    | None -> ""
-    | Some s -> Printf.sprintf ", chaos seed %d" s)
-    (if hedge then ", hedging on" else "")
     (if record <> None then ", recording" else "")
     (match store_dir with
     | None -> ""
@@ -337,8 +294,8 @@ let serve host port max_inflight queue_cap tenant_cap rate burst deadline_ms
     Server.Store.close s;
     Printf.printf "awbserve: store checkpointed and closed\n%!"
   | None -> ());
-  (* The drain already shut the cluster down (Server owns it); this is
-     just the operator-facing confirmation. *)
+  (* The drain already shut the replicas down (Server owns them); this
+     is just the operator-facing confirmation. *)
   (match repl with
   | Some _ -> Printf.printf "awbserve: replicas drained and closed\n%!"
   | None -> ());
@@ -389,11 +346,9 @@ let replay_request ~port (e : Server.Recorder.entry) =
       if String.length raw < 12 then None
       else int_of_string_opt (String.sub raw 9 3))
 
-let replay file speed shards chaos_seed hedge sample model_file engine cache_capacity
-    max_inflight queue_cap store_dir =
+let replay file speed sample model_file engine cache_capacity max_inflight queue_cap
+    store_dir =
   if speed <= 0. then fail "--speed must be positive";
-  if chaos_seed <> None && shards <= 0 then
-    fail "--chaos injects faults on the shard transport; it needs --shards >= 1";
   let entries =
     match Server.Recorder.load file with
     | [] -> fail (Printf.sprintf "capture file %s holds no requests" file)
@@ -405,30 +360,6 @@ let replay file speed shards chaos_seed hedge sample model_file engine cache_cap
     match Docgen.engine_of_string engine with Ok e -> e | Error m -> fail m
   in
   let model = match load_model sample model_file with Ok m -> m | Error m -> fail m in
-  let cluster =
-    if shards <= 0 then None
-    else
-      Some
-        (Server.Shard.start
-           ~config:
-             {
-               Server.Shard.default_cluster_config with
-               Server.Shard.shards;
-               cache_capacity;
-               model_spec =
-                 (match (sample, model_file) with
-                 | Some s, None -> s
-                 | None, Some path -> "file:" ^ path
-                 | _ -> "banking");
-               chaos = Option.map Server.Chaos.of_seed chaos_seed;
-               hedge;
-               (* A replay is a bounded run: a recorded request with no
-                  deadline must not ride the 300 s production default
-                  when a chaos drop eats its frame. *)
-               call_timeout_s = 10.;
-             }
-           ())
-  in
   let svc = Service.create ~config:{ Service.default_config with Service.cache_capacity } () in
   (* A capture with store traffic (the /collections routes) replays
      against a real store so the mixed workload exercises the same
@@ -446,17 +377,12 @@ let replay file speed shards chaos_seed hedge sample model_file engine cache_cap
           model = Some model;
           store;
         }
-      ?cluster svc
+      svc
   in
   Server.start server;
   let port = Server.port server in
-  Printf.printf "awbserve: replaying %d requests at %.1fx against port %d (%s%s%s)\n%!"
-    (List.length entries) speed port
-    (if shards > 0 then Printf.sprintf "%d shards" shards else "in-process")
-    (match chaos_seed with
-    | None -> ""
-    | Some s -> Printf.sprintf ", chaos seed %d" s)
-    (if hedge then ", hedging" else "");
+  Printf.printf "awbserve: replaying %d requests at %.1fx against port %d\n%!"
+    (List.length entries) speed port;
   (* Client-side ledger: every request resolves exactly once, as a
      status or as a connection error — the first invariant. *)
   let mu = Mutex.create () in
@@ -490,37 +416,7 @@ let replay file speed shards chaos_seed hedge sample model_file engine cache_cap
   (* Let server-side connection teardown finish checking pooled buffers
      back in before the books are audited. *)
   Thread.delay 0.3;
-  (* After the storm the breakers must find their way home: the
-     supervisor respawns any corpse, the work probe passes, success
-     closes the circuit. A breaker still open after the grace window is
-     a real defect, reported as an invariant violation below. *)
-  let breakers_settled =
-    match Server.cluster server with
-    | None -> true
-    | Some c ->
-      let deadline = Clock.now () +. 15. in
-      let rec go () =
-        if Array.for_all (fun s -> s = 0) (Server.Shard.breaker_states c) then true
-        else if Clock.now () > deadline then false
-        else begin
-          Thread.delay 0.2;
-          go ()
-        end
-      in
-      go ()
-  in
   let metrics_text = Server.metrics_body server in
-  let cluster_report =
-    match Server.cluster server with
-    | None -> ""
-    | Some c ->
-      Printf.sprintf "replay: %d failovers, %d restarts, %d hedges (%d won), breakers [%s]\n"
-        (Server.Shard.failovers c) (Server.Shard.restarts c) (Server.Shard.hedges c)
-        (Server.Shard.hedge_wins c)
-        (String.concat "; "
-           (Array.to_list
-              (Array.map string_of_int (Server.Shard.breaker_states c))))
-  in
   Server.drain server;
   Option.iter Server.Store.close store;
   let ledger =
@@ -532,16 +428,11 @@ let replay file speed shards chaos_seed hedge sample model_file engine cache_cap
     }
   in
   let violations = Server.Recorder.check_invariants ~ledger ~metrics_text in
-  let violations =
-    if breakers_settled then violations
-    else violations @ [ "circuit breakers never returned to Closed after the run" ]
-  in
   let ok = Option.value ~default:0 (Hashtbl.find_opt statuses 200) in
   Printf.printf "replay: %d sent, %d responses (%d ok), %d connection errors\n"
     ledger.Server.Recorder.sent !responses ok !conn_errors;
   List.sort compare (Hashtbl.fold (fun st n acc -> (st, n) :: acc) statuses [])
   |> List.iter (fun (st, n) -> Printf.printf "replay:   %3d x %d\n" st n);
-  print_string cluster_report;
   match violations with
   | [] ->
     Printf.printf "replay: invariants clean\n";
@@ -770,16 +661,6 @@ let max_conn_requests =
           "Serve at most $(docv) requests on one keep-alive connection, then answer \
            with Connection: close. Bounds per-connection resource drift.")
 
-let shards =
-  Arg.(
-    value & opt int 0
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Run $(docv) backend worker processes and consistent-hash route generate \
-           bodies to them over Unix-domain sockets, so each backend's caches stay \
-           warm on its slice of the key space. SIGHUP rolls the backends one at a \
-           time (zero-downtime reload). 0 (the default) serves in-process.")
-
 let record =
   Arg.(
     value
@@ -789,41 +670,6 @@ let record =
           "Capture every admitted /generate request (method, path, tenant, deadline, \
            body, monotonic timestamp) into a bounded ring and write it to $(docv) on \
            drain, for $(b,awbserve replay).")
-
-let chaos_seed =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "chaos" ] ~docv:"SEED"
-        ~doc:
-          "Deterministic fault injection on the shard transport: delays, drops, \
-           truncations, CRC corruption, duplicates, and stalls, each a pure function \
-           of ($(docv), shard, frame sequence) — one seed replays one byte-identical \
-           fault schedule. Requires $(b,--shards).")
-
-let hedge =
-  Arg.(
-    value & flag
-    & info [ "hedge" ]
-        ~doc:
-          "Hedged requests: when a sharded generate is still in flight past the p95 \
-           latency estimate, re-issue it to the ring successor and use whichever \
-           response lands first. Cuts tail latency under stalls at the cost of \
-           duplicate work.")
-
-let breaker_failures =
-  Arg.(
-    value & opt int Server.Breaker.default_config.Server.Breaker.failure_threshold
-    & info [ "breaker-failures" ] ~docv:"N"
-        ~doc:
-          "Consecutive shard-call failures that trip that shard's circuit breaker \
-           open (routing then skips it until a half-open probe succeeds).")
-
-let breaker_cooldown =
-  Arg.(
-    value & opt float Server.Breaker.default_config.Server.Breaker.cooldown_s
-    & info [ "breaker-cooldown" ] ~docv:"S"
-        ~doc:"Seconds an open breaker dwells before admitting its half-open probe.")
 
 let store_dir =
   Arg.(
@@ -882,12 +728,6 @@ let speed =
     & info [ "speed" ] ~docv:"X"
         ~doc:"Replay at $(docv) times the recorded cadence (open loop).")
 
-let replay_shards =
-  Arg.(
-    value & opt int 0
-    & info [ "shards" ] ~docv:"N"
-        ~doc:"Back the replay server with $(docv) shard backends (0 = in-process).")
-
 let replay_max_inflight =
   Arg.(
     value & opt int Server.default_config.Server.max_inflight
@@ -913,8 +753,7 @@ let serve_cmd =
       $ deadline_ms $ drain_deadline $ brownout $ result_cache_cap $ sample
       $ model_file $ engine $ cache_capacity $ fuel $ max_depth $ max_nodes $ retries
       $ quarantine_after $ fault_seed $ crash_rate $ deadline_rate $ transient_rate
-      $ keepalive $ idle_timeout $ max_conn_requests $ shards $ record $ chaos_seed
-      $ hedge $ breaker_failures $ breaker_cooldown $ store_dir $ replicas
+      $ keepalive $ idle_timeout $ max_conn_requests $ record $ store_dir $ replicas
       $ write_quorum $ scrub_interval)
 
 let replay_cmd =
@@ -925,9 +764,8 @@ let replay_cmd =
   Cmd.v
     (Cmd.info "replay" ~doc)
     Term.(
-      const replay $ capture_file $ speed $ replay_shards $ chaos_seed $ hedge
-      $ sample $ model_file $ engine $ cache_capacity $ replay_max_inflight
-      $ replay_queue_cap $ store_dir)
+      const replay $ capture_file $ speed $ sample $ model_file $ engine
+      $ cache_capacity $ replay_max_inflight $ replay_queue_cap $ store_dir)
 
 let scrub_cmd =
   let doc =
@@ -948,11 +786,10 @@ let cmd =
     [ serve_cmd; replay_cmd; scrub_cmd ]
 
 let () =
-  (* When exec'd as a shard backend this serves frames and exits —
-     before any argument parsing, so backend argv stays an internal
-     contract rather than part of the CLI. The same re-exec discipline
-     turns this process into a store crash-oracle child ingester. *)
-  Server.Shard.maybe_run_backend ();
+  (* When exec'd as a store crash-oracle child ingester or a replica
+     backend this does that job and exits — before any argument parsing,
+     so backend argv stays an internal contract rather than part of the
+     CLI. *)
   Server.Store.Oracle.maybe_run_child ();
   Server.Store.Replica.maybe_run_backend ();
   exit (Cmd.eval' cmd)

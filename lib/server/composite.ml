@@ -6,10 +6,8 @@
    A plain body (anything not starting with the marker) is a bare
    template generating against the server's configured model — the PR-4
    wire format, unchanged. The split is deliberately string-level, not
-   an XML parse: the sharded front process routes on the raw body and
-   must never pay a parse before admission, and the backend wants the
-   two payloads verbatim so the Service layer's content-hash caches see
-   exactly the bytes the client sent. *)
+   an XML parse: the Service layer wants the two payloads verbatim so
+   its content-hash caches see exactly the bytes the client sent. *)
 
 let open_tag = "<docgen-request>"
 let close_tag = "</docgen-request>"
@@ -23,11 +21,10 @@ let is_composite body =
   && String.sub body 0 (String.length open_tag) = open_tag
 
 (* First occurrence of [needle] in [hay] at or after [from]. Bodies run
-   to hundreds of kilobytes and this sits on the per-request path twice
-   (shard routing on the front, split on the backend), so candidate
-   positions come from [String.index_from_opt] — memchr under the hood —
-   rather than a per-byte OCaml loop, and the verify step never
-   allocates. *)
+   to hundreds of kilobytes and this sits on the per-request path, so
+   candidate positions come from [String.index_from_opt] — memchr under
+   the hood — rather than a per-byte OCaml loop, and the verify step
+   never allocates. *)
 let find_from hay needle from =
   let nh = String.length hay and nn = String.length needle in
   if nn = 0 then if from <= nh then Some from else None

@@ -3,9 +3,7 @@
     [<docgen-request><template>...</template><model>...</model></docgen-request>]
 
     lets a client generate against a per-request model instead of the
-    server's configured one — and gives the sharded front process a
-    routing key that covers both template and model content without
-    parsing anything. Plain bodies pass through untouched. *)
+    server's configured one. Plain bodies pass through untouched. *)
 
 val is_composite : string -> bool
 (** True when the body starts with the [<docgen-request>] marker. *)

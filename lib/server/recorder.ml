@@ -1,5 +1,5 @@
 (* Request recorder: a ring buffer of admitted requests, serializable
-   to a capture file the replayer (awbserve replay, bench chaos) can
+   to a capture file the replayer (awbserve replay, bench store) can
    drive back at any speed.
 
    The ring lives on the server's admission path, so writes must be
@@ -11,7 +11,7 @@
    started.
 
    File format: a magic line, then one length-prefixed record per entry
-   using Frame's codec (the same u32/lp primitives the shard transport
+   using Frame's codec (the same u32/lp primitives the replica transport
    uses) — record = lp ts-microseconds-decimal, lp method, lp path,
    lp tenant, u32 deadline-ms, lp body. *)
 
@@ -267,8 +267,7 @@ let check_invariants ~ledger ~metrics_text =
      refused adds up to the generate traffic it saw. The server counts
      accepted (admitted to the queue), shed/drained (503), rate- and
      tenant-limited (429), quarantined (429), bad requests (400), and
-     stale cache hits served inline; a sharded front additionally
-     answers 503 from routing when no shard can take a request. *)
+     stale cache hits served inline. *)
   let c name = scrape_counter metrics_text name in
   let accepted = c "lopsided_server_accepted_total" in
   let refused =
@@ -276,7 +275,6 @@ let check_invariants ~ledger ~metrics_text =
     + c "lopsided_server_rate_limited_total"
     + c "lopsided_server_tenant_rejected_total"
     + c "lopsided_server_quarantined_total"
-    + c "lopsided_shard_unavailable_total"
     (* Store-tier refusals: quorum unavailable, I/O error, quarantined
        data — 503s the store itself decided on. *)
     + c "lopsided_server_store_refused_total"

@@ -1,6 +1,6 @@
 (** Request record/replay: a ring buffer of admitted requests on the
     server's admission path, serializable to a capture file that
-    [awbserve replay] and the bench chaos harness drive back at any
+    [awbserve replay] and the bench store harness drive back at any
     speed — plus the end-of-run invariant checker both use to assert
     conservation. *)
 

@@ -14,10 +14,9 @@
        metrics, rate-limit 429s, quarantine 429s, queue-full 503s) is
        answered right here. Admitted jobs go into the bounded job queue.
      workers (OCaml domains, max_inflight of them) — pop, generate via
-       Service.run (or forward to a shard backend in cluster mode),
-       answer. A worker that dies (the injected Crash fault, or a
-       genuine bug) is noticed and replaced by the supervisor; the
-       process survives.
+       Service.run, answer. A worker that dies (the injected Crash
+       fault, or a genuine bug) is noticed and replaced by the
+       supervisor; the process survives.
      supervisor (systhread) — polls worker slots, joins finished
        domains, respawns crashed ones, counts restarts.
      idle watcher (systhread, keep-alive only) — holds connections
@@ -159,7 +158,6 @@ type slot = {
 type t = {
   config : config;
   svc : Service.t;
-  cluster : Shard.t option;
   model : Service.model_source;
   metrics : Metrics.t;
   buffers : Buffer_pool.t;
@@ -200,11 +198,10 @@ type t = {
       (* online scrub against the local store (scrub_interval_s > 0) *)
 }
 
-let create ?(config = default_config) ?cluster svc =
+let create ?(config = default_config) svc =
   {
     config;
     svc;
-    cluster;
     model =
       (match config.model with
       | Some m -> m
@@ -260,7 +257,6 @@ let draining t = Atomic.get t.is_draining
 let stopped t = Atomic.get t.is_stopped
 let metrics t = t.metrics
 let service t = t.svc
-let cluster t = t.cluster
 let queue_depth t = Fair_queue.depth t.queue
 let inflight t = Atomic.get t.busy
 
@@ -319,7 +315,6 @@ let metrics_body t =
   ^ buffers
   ^ (match t.config.store with None -> "" | Some s -> Store.to_prometheus s)
   ^ (match t.config.repl with None -> "" | Some r -> Store.Replica.metrics r)
-  ^ (match t.cluster with None -> "" | Some c -> Shard.metrics c)
 
 (* ------------------------------------------------------------------ *)
 (* Connection lifecycle                                                 *)
@@ -505,7 +500,9 @@ let respond_error t fd ~request_id ~status ?(headers = []) ?(keep_alive = false)
     ~body:(Http.error_body ~code ~message ~request_id)
     ()
 
-let retry_after = Service_http.retry_after
+(* A Retry-After header: seconds rounded up, at least 1. *)
+let retry_after s =
+  [ ("Retry-After", string_of_int (max 1 (int_of_float (Float.ceil s)))) ]
 
 (* The shed-path Retry-After: how long the queue should take to drain at
    the recent completion rate, clamped to [1, 30] s. Used by the 503
@@ -517,9 +514,31 @@ let retry_after_derived t =
     (Metrics.retry_after_estimate_s t.metrics ~queue_depth:(queue_depth t)
        ~now:(Clock.now ()))
 
-(* The Service error taxonomy, mapped onto HTTP — shared with the shard
-   backends so both sides of the boundary answer identically. *)
-let http_of_error = Service_http.of_error
+(* The Service error taxonomy, mapped onto HTTP as (status, code,
+   message, extra headers). Resource trips keep their resource:* code in
+   the JSON body so a client can tell a fuel trip from a deadline from a
+   quarantine without parsing prose. *)
+let http_of_error (e : Service.error) =
+  match e with
+  | Service.Template_error m -> (400, "bad-template", m, [])
+  | Service.Model_error m -> (400, "bad-model", m, [])
+  | Service.Generation_failed { code; message; location } ->
+    let message = if location = "" then message else message ^ " at " ^ location in
+    (422, (if code = "" then "generation-failed" else code), message, [])
+  | Service.Resource_exhausted { resource; message } ->
+    (422, Xquery.Errors.resource_code resource, message, [])
+  | Service.Deadline_exceeded { elapsed_s; deadline_s } ->
+    ( 504,
+      "resource:deadline",
+      Printf.sprintf "deadline exceeded: %.1f ms elapsed against a %.1f ms budget"
+        (elapsed_s *. 1000.) (deadline_s *. 1000.),
+      [] )
+  | Service.Quarantined { template; retry_after_s } ->
+    ( 429,
+      "quarantined",
+      Printf.sprintf "template %s is quarantined" template,
+      retry_after retry_after_s )
+  | Service.Internal_error m -> (500, "internal", m, [])
 
 (* ------------------------------------------------------------------ *)
 (* Workers                                                             *)
@@ -713,32 +732,8 @@ let handle_client t (job : job) conn =
            ~code:"resource:deadline" ~message:"deadline expired while queued" ()
        | _ -> (
          match (store_tier t, store_path job.jreq.Http.path) with
-         | Some tier, Some op ->
-           (* Store traffic is served by the front process even when
-              generation is sharded: the store (or its replica
-              coordinator) is local state. *)
-           handle_store t job conn ~ka tier op
+         | Some tier, Some op -> handle_store t job conn ~ka tier op
          | _ -> (
-         match t.cluster with
-         | Some cluster ->
-           (* Sharded: forward the raw body — the routing key is its
-              content, exactly what the shard's caches key on. *)
-           let deadline_ms =
-             match deadline with
-             | None -> 0
-             | Some d -> max 1 (int_of_float (Float.ceil (d *. 1000.)))
-           in
-           let status, headers, body =
-             Shard.generate cluster ~id:job.jid
-               ~engine:(Docgen.engine_name engine) ~level:job.jlevel ~deadline_ms
-               ~body:job.jreq.Http.body
-           in
-           if job.jlevel = Docgen.Spec.Skeleton && status = 200 then
-             Metrics.incr_skeletons t.metrics;
-           Http.write_response fd ~status
-             ~headers:(std_headers t ~request_id:job.jid headers)
-             ~keep_alive:ka ~buf:conn.cbuf ~body ()
-         | None -> (
            let sreq =
              service_request t ~engine ?deadline ~level:job.jlevel ~id:job.jid
                job.jreq.Http.body
@@ -765,7 +760,7 @@ let handle_client t (job : job) conn =
            | Error e ->
              let status, code, message, headers = http_of_error e in
              respond_error t fd ~request_id:job.jid ~status ~headers ~keep_alive:ka
-               ~buf:conn.cbuf ~code ~message ()))))
+               ~buf:conn.cbuf ~code ~message ())))
     with
     | Fault.Crashed _ as e ->
       close_conn t conn;
@@ -1310,9 +1305,6 @@ let rec drain_now t =
       t.listen_fd <- None;
       close_quiet fd
     | None -> ());
-    (* The shard cluster (if any) drains last: in-flight forwards are
-       done, so every backend exits as soon as it finishes its frame. *)
-    (match t.cluster with Some c -> Shard.shutdown c | None -> ());
     Atomic.set t.is_stopped true
   end
   else await t
@@ -1321,14 +1313,9 @@ and await t = while not (Atomic.get t.is_stopped) do Thread.delay 0.01 done
 
 let drain = drain_now
 
-(* SIGHUP: zero-downtime reload. Sharded mode rolls the backends one at
-   a time (fresh processes, cold caches, no dropped requests);
-   single-process mode clears the compiled-artifact caches and closes
-   every quarantine breaker in place. *)
-let reload t =
-  match t.cluster with
-  | Some c -> Shard.rolling_restart c
-  | None -> Service.reload t.svc
+(* SIGHUP: zero-downtime reload — clear the compiled-artifact caches and
+   close every quarantine breaker in place. *)
+let reload t = Service.reload t.svc
 
 let accept_loop t fd =
   while not (Atomic.get t.stop_accept) do
@@ -1430,12 +1417,7 @@ module Metrics = Metrics
 module Brownout = Brownout
 module Fair_queue = Fair_queue
 module Buffer_pool = Buffer_pool
-module Router = Router
-module Shard = Shard
 module Composite = Composite
-module Service_http = Service_http
 module Frame = Frame
-module Chaos = Chaos
-module Breaker = Breaker
 module Recorder = Recorder
 module Store = Store

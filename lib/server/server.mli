@@ -27,11 +27,6 @@
       parks quiet connections so readers only ever touch sockets with
       bytes. Off by default — one request per connection, exactly the
       pre-PR-7 wire behaviour.
-    - {b Sharding.} Pass a {!Shard.t} cluster to {!create} and generate
-      bodies are consistent-hash routed to backend worker processes over
-      Unix-domain sockets, keeping each backend's Service caches warm on
-      its slice of the key space. [/metrics] aggregates the shard-labeled
-      expositions; drain shuts the cluster down; [SIGHUP] rolls it.
     - {b Lifecycle.} [SIGTERM] (or {!drain}) stops admitting, answers
       queued requests 503, tightens every in-flight evaluation's
       deadline to the drain deadline via {!Service.preempt_inflight},
@@ -48,13 +43,8 @@ module Metrics = Metrics
 module Brownout = Brownout
 module Fair_queue = Fair_queue
 module Buffer_pool = Buffer_pool
-module Router = Router
-module Shard = Shard
 module Composite = Composite
-module Service_http = Service_http
 module Frame = Frame
-module Chaos = Chaos
-module Breaker = Breaker
 module Recorder = Recorder
 module Store = Store
 
@@ -144,11 +134,7 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> ?cluster:Shard.t -> Service.t -> t
-(** With [?cluster], generate work is forwarded to the shard backends
-    (the local service still answers stale-cache lookups and brownout
-    checks); the server takes ownership — {!drain} shuts the cluster
-    down. *)
+val create : ?config:config -> Service.t -> t
 
 val config : t -> config
 
@@ -172,9 +158,9 @@ val drain : t -> unit
     answer everything queued-but-unstarted with 503, let in-flight
     requests run up to [drain_deadline_s] (their evaluator deadlines are
     tightened, so overruns die with a structured [resource:deadline]),
-    close idle keep-alive connections, shut down the shard cluster if
-    one was attached, then stop every thread and close the listener.
-    Idempotent; blocks until the server is fully stopped. *)
+    close idle keep-alive connections, then stop every thread and close
+    the listener. Idempotent; blocks until the server is fully
+    stopped. *)
 
 val stopped : t -> bool
 
@@ -191,14 +177,11 @@ val install_sighup : t -> unit
     separate thread). *)
 
 val reload : t -> unit
-(** Zero-downtime reload. Sharded: {!Shard.rolling_restart} — backends
-    cycle one at a time with their key slice failing over, no dropped
-    requests. Single-process: {!Service.reload} — compiled-artifact
-    caches cleared, quarantine breakers closed. *)
+(** Zero-downtime reload: {!Service.reload} — compiled-artifact caches
+    cleared, quarantine breakers closed. *)
 
 val metrics : t -> Metrics.t
 val service : t -> Service.t
-val cluster : t -> Shard.t option
 val queue_depth : t -> int
 val inflight : t -> int
 
@@ -214,4 +197,4 @@ val current_mode : t -> Brownout.mode
 
 val metrics_body : t -> string
 (** The full [/metrics] payload: service exposition + server exposition
-    (+ the aggregated shard exposition in cluster mode). *)
+    (+ the store or replica exposition when one is attached). *)

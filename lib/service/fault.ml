@@ -4,8 +4,8 @@
    flaky, so every injection decision here is a pure function of
    (seed, fault kind, request key, attempt number): the same seeded
    config replays the same faults in the same places, run after run,
-   regardless of domain scheduling. The decision hash is Digest (MD5) —
-   not for security, just for a cheap, stable, well-mixed 128 bits.
+   regardless of domain scheduling. The decision is [Draw.uniform], the
+   draw every fault plane shares.
 
    Injection does not fake outcomes; it tightens real budgets. A
    "deadline overrun" forces the request's monotonic deadline into the
@@ -62,18 +62,11 @@ let rate config = function
   | Fast_path -> config.fast_fault_rate
   | Crash -> config.crash_rate
 
-(* 28 bits of a digest as a uniform draw in [0, 1). *)
-let uniform ~seed ~tag ~key ~attempt =
-  let h =
-    Digest.to_hex (Digest.string (Printf.sprintf "%d|%s|%s|%d" seed tag key attempt))
-  in
-  float_of_int (int_of_string ("0x" ^ String.sub h 0 7)) /. float_of_int 0x10000000
-
 let draw config kind ~key ~attempt =
-  uniform ~seed:config.seed ~tag:(kind_name kind) ~key ~attempt
+  Draw.uniform ~seed:config.seed ~tag:(kind_name kind) ~key ~seq:attempt
 
 let fires config kind ~key ~attempt =
   let r = rate config kind in
   if r <= 0. then false else r >= 1. || draw config kind ~key ~attempt < r
 
-let jitter ~seed ~key ~attempt = uniform ~seed ~tag:"jitter" ~key ~attempt
+let jitter ~seed ~key ~attempt = Draw.uniform ~seed ~tag:"jitter" ~key ~seq:attempt

@@ -392,8 +392,7 @@ let clear_caches t =
 (* Zero-downtime reload: drop every compiled artifact and close every
    quarantine breaker, so the next request re-parses templates from
    their current sources with a clean failure history. The front end
-   wires this to SIGHUP in single-process mode; sharded mode restarts
-   backend processes instead, which is this plus a fresh heap. *)
+   wires this to SIGHUP. *)
 let reload t =
   clear_caches t;
   with_lock t (fun () -> Hashtbl.reset t.quarantine)
@@ -1198,27 +1197,13 @@ let sanitize_metric_name name =
    one sample per line. Shared by the HTTP server's /metrics endpoint
    and awbserve --metrics; test_server scrapes and re-parses every line
    it emits. *)
-let counters_to_prometheus ?(labels = []) (c : counters) =
+let counters_to_prometheus (c : counters) =
   let b = Buffer.create 4096 in
-  (* Labels (e.g. shard="2" on a sharded backend's exposition) go on the
-     sample line only — HELP/TYPE stay label-free so a front end can
-     concatenate several shards' expositions and dedup the metadata. *)
-  let label_suffix =
-    match labels with
-    | [] -> ""
-    | kvs ->
-      "{"
-      ^ String.concat ","
-          (List.map
-             (fun (k, v) -> Printf.sprintf "%s=\"%s\"" (sanitize_metric_name k) v)
-             kvs)
-      ^ "}"
-  in
   let sample ?(typ = "counter") name help value =
     let name = sanitize_metric_name name in
     Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" name help);
     Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" name typ);
-    Buffer.add_string b (Printf.sprintf "%s%s %s\n" name label_suffix value)
+    Buffer.add_string b (Printf.sprintf "%s %s\n" name value)
   in
   let int_sample name help v = sample name help (string_of_int v) in
   let seconds name help v = sample name help (Printf.sprintf "%.6f" v) in

@@ -304,17 +304,15 @@ val reload : t -> unit
 (** Zero-downtime reload: {!clear_caches} plus closing every quarantine
     circuit breaker, so the next request recompiles templates from their
     current sources with a clean failure history. The HTTP front end
-    wires this to [SIGHUP] in single-process mode. *)
+    wires this to [SIGHUP]. *)
 
 val pp_counters : Format.formatter -> counters -> unit
 
-val counters_to_prometheus : ?labels:(string * string) list -> counters -> string
+val counters_to_prometheus : counters -> string
 (** Prometheus text exposition (format 0.0.4) of every counter: a
     [# HELP] line, a [# TYPE] line, and one sample per metric, named
-    [lopsided_service_*]. [labels] (e.g. [("shard", "2")] on a sharded
-    backend) are appended to every sample line but not to HELP/TYPE, so
-    several shards' expositions concatenate cleanly after metadata
-    dedup. Every emitted name passes through {!sanitize_metric_name}.
+    [lopsided_service_*]. Every emitted name passes through
+    {!sanitize_metric_name}.
     Served by the HTTP server's [/metrics] (which appends its own
     [lopsided_server_*] family) and printed by [awbserve --metrics]. *)
 

@@ -61,13 +61,9 @@ let enabled t =
 
 let op_name = function Write -> "write" | Fsync -> "fsync"
 
-(* One uniform draw in [0,1) per (seed, fault-kind, op, seq) — MD5 as a
-   keyed PRF, exactly the Chaos plane's construction. *)
-let uniform ~seed ~tag ~op ~seq =
-  let h =
-    Digest.to_hex (Digest.string (Printf.sprintf "%d|%s|%s|%d" seed tag (op_name op) seq))
-  in
-  float_of_int (int_of_string ("0x" ^ String.sub h 0 7)) /. float_of_int 0x10000000
+(* One uniform draw in [0,1) per (seed, fault-kind, op, seq): the draw
+   every fault plane shares. *)
+let uniform ~seed ~tag ~op ~seq = Draw.uniform ~seed ~tag ~key:(op_name op) ~seq
 
 let fires t rate ~tag ~op ~seq = rate > 0. && uniform ~seed:t.seed ~tag ~op ~seq < rate
 let frac t ~tag ~op ~seq = uniform ~seed:t.seed ~tag:(tag ^ ".frac") ~op ~seq

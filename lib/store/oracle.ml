@@ -2,7 +2,7 @@
 
    A trial re-execs the current binary as a child ingester (the
    [AWBSTORE_ORACLE] environment variable carries the spec, the same
-   re-exec discipline as the shard backends), which opens a store with
+   re-exec discipline as the replica backends), which opens a store with
    a seeded I/O fault plane and ingests a deterministic document
    sequence, printing one flushed ack line per durable operation:
 
@@ -355,7 +355,7 @@ let run_repl_trial ~dir ~seed ~n ?(replicas = 3) ?(write_quorum = 2) ?(segbytes 
         }
       ~dir ()
   in
-  let u tag i = Chaos.uniform ~seed ~tag ~shard:0 ~seq:i in
+  let u tag i = Draw.uniform ~seed ~tag ~key:"0" ~seq:i in
   let acked = Hashtbl.create 64 in
   let ambiguous = Hashtbl.create 8 in
   let refused = ref 0 in

@@ -1,9 +1,9 @@
 (* The replication frame family: payload codecs for log shipping,
-   catch-up, and promotion over the shard UDS channels.
+   catch-up, and promotion over the replica UDS channels.
 
    Every payload rides inside the [Frame] wire discipline (u32 length,
-   u8 version, payload, u32 crc32, structured 'N' nack) exactly like
-   the shard generate op; this module defines only the payload formats.
+   u8 version, payload, u32 crc32, structured 'N' nack); this module
+   defines only the payload formats.
    Op byte first, then op-specific fields:
 
      'P'                  ping                     reply "P"

@@ -1,6 +1,6 @@
 (** Payload codecs for the replication frame family — log shipping,
     undo, anti-entropy catch-up, and promotion — riding the [Frame]
-    wire discipline over the shard UDS channels. One op byte, then
+    wire discipline over the replica UDS channels. One op byte, then
     op-specific fields; replies reuse the same framing, and a replica
     that must refuse (stale epoch, diverged position, store error)
     answers a structured [Frame.nack] so the stream never desyncs. *)

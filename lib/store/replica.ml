@@ -4,8 +4,7 @@
 
    One front coordinator, N replica backends. Each backend owns a full
    segmented store (log.ml) in its own directory and serves the
-   replication frame family (repl_log.ml) over a Unix-domain socket,
-   with the same accept/drain discipline as the generation shards.
+   replication frame family (repl_log.ml) over a Unix-domain socket.
    Backends are spawned by fork+exec of the host binary itself —
    [Sys.executable_name] with a [--replica-backend] argv marker and the
    spec in an environment variable — so any binary that calls
@@ -564,12 +563,12 @@ let connect n ~timeout_s =
     close_quiet fd;
     raise e
 
-(* Identical fault enactment to the shard transport (see shard.ml):
-   verdicts are drawn per data-plane frame from the node's own sequence
-   counter, so one seed replays one schedule. *)
+(* Fault enactment on the real socket: verdicts are drawn per data-plane
+   frame from the node's own sequence counter, so one seed replays one
+   schedule. *)
 let chaos_send_recv c n fd payload =
   let seq = Atomic.fetch_and_add n.nchaos_seq 1 in
-  match Chaos.decide c ~shard:n.nid ~seq with
+  match Chaos.decide c ~node:n.nid ~seq with
   | Chaos.Pass ->
     send_frame fd payload;
     recv_frame fd
@@ -586,7 +585,7 @@ let chaos_send_recv c n fd payload =
     let wire = Bytes.of_string (Frame.encode payload) in
     let off =
       Frame.payload_offset
-      + Chaos.corrupt_offset c ~shard:n.nid ~seq ~len:(String.length payload)
+      + Chaos.corrupt_offset c ~node:n.nid ~seq ~len:(String.length payload)
     in
     Bytes.set wire off (Char.chr (Char.code (Bytes.get wire off) lxor 0xff));
     Frame.send_all fd (Bytes.unsafe_to_string wire);

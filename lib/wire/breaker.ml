@@ -1,17 +1,17 @@
-(* Per-shard circuit breaker: Closed / Open / Half-open.
+(* Per-node circuit breaker: Closed / Open / Half-open.
 
-   The shard failover loop is reactive — a request must die on a bad
-   shard before routing walks to a ring successor. The breaker makes
-   the lesson stick: enough consecutive failures (or a high enough
-   timeout fraction over the recent window) open the circuit, and the
-   router then skips the shard *before* spending a request on it. After
-   a cooldown the breaker admits exactly one probe (half-open); only a
-   proven success closes it again — a probe failure re-opens and the
-   cooldown restarts.
+   The replica coordinator learns a node is bad reactively — a frame
+   must fail before it knows. The breaker makes the lesson stick:
+   enough consecutive failures (or a high enough timeout fraction over
+   the recent window) open the circuit, and the coordinator then skips
+   the node *before* spending a frame on it. After a cooldown the
+   breaker admits exactly one probe (half-open); only a proven success
+   closes it again — a probe failure re-opens and the cooldown
+   restarts.
 
    Deliberately clock-explicit ([~now] everywhere) and free of any
    thread machinery beyond one mutex, so the state machine unit-tests
-   without a cluster and without sleeping. *)
+   without live backends and without sleeping. *)
 
 type state = Closed | Open | Half_open
 
@@ -88,9 +88,9 @@ let state_code t =
 
 let state_name = function Closed -> "closed" | Open -> "open" | Half_open -> "half-open"
 
-(* Routing must avoid the shard: Open inside its cooldown, or a probe
+(* Callers must avoid the node: Open inside its cooldown, or a probe
    already holds the half-open slot. Open *past* its cooldown is not
-   blocked — the shard is eligible again, pending {!try_probe}. *)
+   blocked — the node is eligible again, pending {!try_probe}. *)
 let blocked t ~now =
   locked t (fun () ->
       match t.st with
@@ -122,7 +122,7 @@ let record_success t =
       match t.st with
       | Half_open | Open ->
         (* The half-open probe (or a straggler that beat the trip)
-           proved the shard does real work: close and forget the
+           proved the node does real work: close and forget the
            window — old timeouts must not instantly re-trip. *)
         t.st <- Closed;
         t.probe_inflight <- false;

@@ -1,4 +1,5 @@
-(** Per-shard circuit breaker: Closed / Open / Half-open.
+(** Per-node circuit breaker: Closed / Open / Half-open — the replica
+    coordinator keeps one per backend.
 
     Trips on consecutive failures or on the timeout fraction over a
     recent-outcome window; after a cooldown admits exactly one
@@ -34,7 +35,7 @@ val trips : t -> int
 (** Times the circuit opened (from Closed or a failed probe). *)
 
 val blocked : t -> now:float -> bool
-(** Routing must skip the shard: Open inside its cooldown, or the
+(** Callers must skip the node: Open inside its cooldown, or the
     half-open probe slot is already taken. Read-only. *)
 
 val try_probe : t -> now:float -> bool

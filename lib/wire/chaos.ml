@@ -1,22 +1,20 @@
-(* Deterministic chaos for the shard transport.
+(* Deterministic chaos for the replica transport.
 
-   Production failover is untestable if the network faults themselves
-   are flaky, so — exactly like the service layer's [Fault] injector —
-   every decision here is a pure function of (seed, fault kind, shard,
-   frame sequence number): the same seeded config replays the same
-   fault schedule in the same places, run after run. The decision hash
-   is Digest (MD5), not for security, just for cheap well-mixed bits.
+   Failover is untestable if the network faults themselves are flaky,
+   so — exactly like the service layer's [Fault] injector — every
+   decision here is a pure function of (seed, fault kind, node, frame
+   sequence number), drawn with [Draw.uniform]: the same seeded config
+   replays the same fault schedule in the same places, run after run.
 
-   No proxy process: the front's shard [call] path consults [decide]
-   once per data-plane frame and enacts the verdict itself on the real
-   socket — a delayed frame really arrives late, a truncated frame
-   really leaves the backend holding a half-read, a corrupted frame
-   really fails the CRC on the far side. Control frames (ping, metrics,
-   drain) and health probes are exempt so the supervisor's view of the
-   world stays truthful; the data plane is where the defenses under
-   test (CRC + nack, breakers, hedges, failover) live.
+   No proxy process: the replica coordinator consults [decide] once per
+   data-plane frame and enacts the verdict itself on the real socket —
+   a delayed frame really arrives late, a truncated frame really leaves
+   the backend holding a half-read, a corrupted frame really fails the
+   CRC on the far side. Control frames and health probes are exempt so
+   the supervisor's view of the world stays truthful; the data plane is
+   where the defenses under test (CRC + nack, breakers, failover) live.
 
-   Note on sequence numbers: the per-shard frame counter makes the
+   Note on sequence numbers: the per-node frame counter makes the
    *schedule* (seq -> action) byte-identical across runs for one seed.
    Which request draws which sequence number still depends on thread
    interleaving — determinism of the fault plan, not of the race. *)
@@ -55,9 +53,8 @@ let none =
     stall_s = 0.5;
   }
 
-(* The standard mixed schedule behind [--chaos SEED]: every fault kind
-   live at a rate failover should absorb, stalls long enough to trip
-   hedges but not the call timeout. *)
+(* The standard mixed schedule: every fault kind live at a rate
+   failover should absorb, stalls shorter than the call timeout. *)
 let of_seed seed =
   {
     seed;
@@ -75,43 +72,39 @@ let enabled c =
   c.delay_rate > 0. || c.drop_rate > 0. || c.truncate_rate > 0.
   || c.corrupt_rate > 0. || c.duplicate_rate > 0. || c.stall_rate > 0.
 
-(* 28 bits of a digest as a uniform draw in [0, 1). *)
-let uniform ~seed ~tag ~shard ~seq =
-  let h =
-    Digest.to_hex (Digest.string (Printf.sprintf "%d|%s|%d|%d" seed tag shard seq))
-  in
-  float_of_int (int_of_string ("0x" ^ String.sub h 0 7)) /. float_of_int 0x10000000
+let uniform c ~tag ~node ~seq =
+  Draw.uniform ~seed:c.seed ~tag ~key:(string_of_int node) ~seq
 
-let fires c rate ~tag ~shard ~seq =
+let fires c rate ~tag ~node ~seq =
   if rate <= 0. then false
-  else rate >= 1. || uniform ~seed:c.seed ~tag ~shard ~seq < rate
+  else rate >= 1. || uniform c ~tag ~node ~seq < rate
 
 (* Fixed evaluation order so one frame draws at most one fault; the
    destructive kinds get first claim. *)
-let decide c ~shard ~seq =
+let decide c ~node ~seq =
   if not (enabled c) then Pass
-  else if fires c c.drop_rate ~tag:"drop" ~shard ~seq then Drop
-  else if fires c c.truncate_rate ~tag:"truncate" ~shard ~seq then Truncate
-  else if fires c c.corrupt_rate ~tag:"corrupt" ~shard ~seq then Corrupt
-  else if fires c c.stall_rate ~tag:"stall" ~shard ~seq then
-    Stall (c.stall_s *. (0.5 +. (0.5 *. uniform ~seed:c.seed ~tag:"stall-jitter" ~shard ~seq)))
-  else if fires c c.duplicate_rate ~tag:"duplicate" ~shard ~seq then Duplicate
-  else if fires c c.delay_rate ~tag:"delay" ~shard ~seq then
-    Delay (c.delay_s *. uniform ~seed:c.seed ~tag:"delay-jitter" ~shard ~seq)
+  else if fires c c.drop_rate ~tag:"drop" ~node ~seq then Drop
+  else if fires c c.truncate_rate ~tag:"truncate" ~node ~seq then Truncate
+  else if fires c c.corrupt_rate ~tag:"corrupt" ~node ~seq then Corrupt
+  else if fires c c.stall_rate ~tag:"stall" ~node ~seq then
+    Stall (c.stall_s *. (0.5 +. (0.5 *. uniform c ~tag:"stall-jitter" ~node ~seq)))
+  else if fires c c.duplicate_rate ~tag:"duplicate" ~node ~seq then Duplicate
+  else if fires c c.delay_rate ~tag:"delay" ~node ~seq then
+    Delay (c.delay_s *. uniform c ~tag:"delay-jitter" ~node ~seq)
   else Pass
 
 (* Which payload byte a Corrupt verdict flips, as an offset into the
-   payload — deterministic per (shard, seq) like everything else. *)
-let corrupt_offset c ~shard ~seq ~len =
+   payload — deterministic per (node, seq) like everything else. *)
+let corrupt_offset c ~node ~seq ~len =
   if len <= 0 then 0
   else
-    int_of_float (uniform ~seed:c.seed ~tag:"corrupt-at" ~shard ~seq *. float_of_int len)
+    int_of_float (uniform c ~tag:"corrupt-at" ~node ~seq *. float_of_int len)
     mod len
 
-(* The full fault plan for one shard's first [n] frames — the
+(* The full fault plan for one node's first [n] frames — the
    reproducibility contract made inspectable (and testable: same seed,
    same list, byte for byte). *)
-let schedule c ~shard n = List.init n (fun seq -> decide c ~shard ~seq)
+let schedule c ~node n = List.init n (fun seq -> decide c ~node ~seq)
 
 let action_name = function
   | Pass -> "pass"

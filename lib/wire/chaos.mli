@@ -1,12 +1,12 @@
-(** Deterministic fault injection for the shard transport.
+(** Deterministic fault injection for the replica transport.
 
     A seeded, schedule-driven chaos plane in the spirit of the service
     layer's [Fault] injector: every verdict is a pure function of
-    (seed, fault kind, shard id, per-shard frame sequence number), so
-    one seed replays one byte-identical fault schedule, run after run.
-    The shard [call] path consults {!decide} per data-plane frame and
-    enacts the verdict on the real socket — control frames and health
-    probes are exempt. *)
+    (seed, fault kind, node id, per-node frame sequence number), drawn
+    with {!Draw.uniform}, so one seed replays one byte-identical fault
+    schedule, run after run. The replica coordinator consults {!decide}
+    per data-plane frame and enacts the verdict on the real socket —
+    control frames and health probes are exempt. *)
 
 type action =
   | Pass
@@ -33,23 +33,20 @@ val none : config
 (** All rates zero: {!decide} always answers [Pass]. *)
 
 val of_seed : int -> config
-(** The standard mixed schedule behind [--chaos SEED]: 10% small
-    delays, 2% drops, 2% truncations, 5% corruption, 3% duplicates,
-    4% stalls of up to 500 ms. *)
+(** The standard mixed schedule: 10% small delays, 2% drops, 2%
+    truncations, 5% corruption, 3% duplicates, 4% stalls of up to
+    500 ms. *)
 
 val enabled : config -> bool
 
-val decide : config -> shard:int -> seq:int -> action
-(** The verdict for frame [seq] to [shard] — pure and reproducible. *)
+val decide : config -> node:int -> seq:int -> action
+(** The verdict for frame [seq] to [node] — pure and reproducible. *)
 
-val corrupt_offset : config -> shard:int -> seq:int -> len:int -> int
+val corrupt_offset : config -> node:int -> seq:int -> len:int -> int
 (** Which payload byte a [Corrupt] verdict flips. *)
 
-val schedule : config -> shard:int -> int -> action list
-(** The fault plan for one shard's first [n] frames: the
+val schedule : config -> node:int -> int -> action list
+(** The fault plan for one node's first [n] frames: the
     reproducibility contract made inspectable. *)
-
-val uniform : seed:int -> tag:string -> shard:int -> seq:int -> float
-(** The underlying deterministic draw in [0, 1). *)
 
 val action_name : action -> string

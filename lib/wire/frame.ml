@@ -1,4 +1,4 @@
-(* Length-prefixed binary framing for the shard transport, with an
+(* Length-prefixed binary framing for the replica transport, with an
    integrity trailer.
 
    Version 2 wire format (one frame per message):
@@ -11,11 +11,11 @@
    sees a trailer mismatch raises {!Crc_mismatch} — the frame boundary
    itself is intact (the length field framed the read), so a backend
    can answer a structured nack on the same connection instead of
-   desyncing, and a front can map the corruption to failover.
+   desyncing, and the coordinator can map the corruption to failover.
 
-   The codec helpers (u8/u16/u32/length-prefixed string) are shared by
-   every payload format that crosses this transport — the shard
-   generate op, and the workload recorder's capture files. *)
+   The codec helpers (u8/u32/length-prefixed string) are shared by
+   every payload format that crosses this transport — the replication
+   ops (repl_log.ml), and the workload recorder's capture files. *)
 
 (* ------------------------------------------------------------------ *)
 (* Payload codec                                                       *)
@@ -132,10 +132,9 @@ let send_frame fd payload =
   send_all fd (Buffer.contents tr)
 
 (* Blocking exact read. EAGAIN/EWOULDBLOCK from the socket receive
-   timeout raises by default — on the front side that timeout IS the
-   call deadline, and a wedged-but-alive backend must surface as a
-   failure (mark unhealthy, fail over), not block a worker domain
-   forever. [retry_again] opts back into retrying: the backend uses it
+   timeout raises by default — on the coordinator side that timeout IS
+   the call deadline, and a wedged-but-alive backend must surface as a
+   failure (mark unhealthy, fail over), not block its caller forever. [retry_again] opts back into retrying: the backend uses it
    to poll its drain flag between frames. *)
 let recv_exact ?(retry_again = fun () -> false) fd n =
   let b = Bytes.create n in

@@ -1,6 +1,6 @@
 (** Length-prefixed binary framing with a CRC32 integrity trailer —
-    the shard transport's wire layer, factored out of [Shard] so the
-    chaos plane and the workload recorder share one codec.
+    the replica transport's wire layer, shared with the chaos plane
+    and the workload recorder so all three use one codec.
 
     Version 2 frame: [u32 length, u8 version, payload, u32 crc32] where
     [length] counts version byte + payload + trailer. Corruption of the
@@ -16,14 +16,12 @@ val perr : ('a, unit, string, 'b) format4 -> 'a
 (** Raise {!Protocol_error} with a formatted message. *)
 
 val add_u8 : Buffer.t -> int -> unit
-val add_u16 : Buffer.t -> int -> unit
 val add_u32 : Buffer.t -> int -> unit
 
 val add_lp : Buffer.t -> string -> unit
 (** Length-prefixed string: [u32 length] + bytes. *)
 
 val get_u8 : string -> int ref -> int
-val get_u16 : string -> int ref -> int
 val get_u32 : string -> int ref -> int
 val get_lp : string -> int ref -> string
 

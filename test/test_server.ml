@@ -859,6 +859,52 @@ let test_e2e_sigterm_during_quarantine_cooldown () =
       check bool_t "stopped after SIGTERM" true (Server.stopped srv);
       check bool_t "drained (readyz semantics)" false (Server.ready srv))
 
+(* SIGHUP's reload on the one generate path: Server.reload reaches
+   Service.reload, so a tripped quarantine breaker closes (the template
+   is admitted and runs again) and every compiled artifact is dropped
+   (the next request recompiles). *)
+let test_e2e_reload_readmits_and_recompiles () =
+  with_server
+    ~svc_config:
+      {
+        Service.default_config with
+        Service.quarantine_after = 1;
+        quarantine_cooldown_s = 30.;
+      }
+    (fun srv port ->
+      let svc = Server.service srv in
+      let gen tpl = (request ~port "POST" "/generate" tpl).status in
+      check int_t "first compile" 200 (gen users_tpl);
+      let warm = Service.counters svc in
+      check int_t "warm" 200 (gen users_tpl);
+      check int_t "warm request hit the template cache" (warm.Service.template_hits + 1)
+        (Service.counters svc).Service.template_hits;
+      check int_t "trip the breaker" 422 (gen failing_tpl);
+      check int_t "quarantined" 429 (gen failing_tpl);
+      Server.reload srv;
+      let before = Service.counters svc in
+      check int_t "admitted again after reload" 422 (gen failing_tpl);
+      check int_t "served after reload" 200 (gen users_tpl);
+      let after = Service.counters svc in
+      check int_t "both templates recompiled" (before.Service.template_misses + 2)
+        after.Service.template_misses;
+      check int_t "no template cache hit" before.Service.template_hits
+        after.Service.template_hits)
+
+(* A Service budget holds through HTTP: the configured fuel trips the
+   functional engine, and the client sees 422 with the resource:fuel
+   code in the JSON body. *)
+let test_e2e_fuel_budget_422 () =
+  with_server
+    ~svc_config:{ Service.default_config with Service.fuel = Some 10 }
+    (fun _ port ->
+      let r =
+        request ~headers:[ ("X-Engine", "functional") ] ~port "POST" "/generate" users_tpl
+      in
+      check int_t "fuel trip answers 422" 422 r.status;
+      check bool_t "resource:fuel code" true
+        (Astring.String.is_infix ~affix:"\"resource:fuel\"" r.rbody))
+
 let test_e2e_supervisor_restarts_crashed_worker () =
   let fault =
     { Service.Fault.none with Service.Fault.seed = 11; crash_rate = 0.5 }
@@ -1332,5 +1378,9 @@ let suite =
           test_e2e_max_conn_requests_cap;
         Alcotest.test_case "e2e 429 Retry-After from drain estimate" `Quick
           test_e2e_rate_limit_retry_after_derived;
+        Alcotest.test_case "e2e reload readmits and recompiles" `Quick
+          test_e2e_reload_readmits_and_recompiles;
+        Alcotest.test_case "e2e fuel budget answers 422 resource:fuel" `Quick
+          test_e2e_fuel_budget_422;
       ] );
   ]

@@ -1,6 +1,6 @@
 (* The crash-safe collection store: the I/O fault plane's determinism
    (same seed, same schedule — the discipline test_chaos proves for the
-   shard transport, pushed down to the filesystem), the faultable file's
+   replica transport, pushed down to the filesystem), the faultable file's
    repair contract, the segment codec, torn-tail vs mid-log recovery,
    manifest damage tolerance, the recorder's incremental sink, the store
    conservation checker, and a miniature in-suite run of the kill-point
